@@ -81,10 +81,12 @@ faults:
 # Seeded randomized fault campaign under the race detector: three
 # workloads each draw a kill plus a hang / checkpoint-flip / truncation
 # from a fixed-seed stream and must recover bit-exactly, plus the
-# TCP-loopback cells — TestSoakTCPLoopback (scratch recovery) and
-# TestSoakTCPCheckpointed (sharded-checkpoint recovery: kill plus
+# TCP-loopback cells — TestSoakTCPLoopback (no checkpoints: rebuild at
+# step 0) and TestSoakTCPCheckpointed (kill plus
 # hang/corrupt-wire/truncate-shard against a two-process world that
-# must restore from the newest complete shard generation).
+# must restore from the newest complete shard generation). Both follow
+# the one recovery rule for spanning worlds: every recovery returns
+# ErrRestarted and the caller replays from the restored step.
 # Deterministic, so any failure reproduces with plain `make soak`.
 soak:
 	go test -race -run TestSoak ./internal/harness/

@@ -387,7 +387,7 @@ func main() {
 	// Multi-process mode: every process (coordinator and joiners) runs
 	// this same supervisor loop; the WorldBuilder re-runs each process'
 	// side of the rendezvous on every build attempt, so a recovery
-	// reassembles the socket mesh before restarting from scratch.
+	// reassembles the socket mesh before restoring or restarting.
 	if *listen != "" {
 		sup.WorldBuilder = func() (*mpi.World, error) {
 			co, err := mpi.ListenTCP(*listen, *ranks)
@@ -415,25 +415,23 @@ func main() {
 			name, eng.NGlobal(), *ranks, eng.Grid[0], eng.Grid[1], eng.Grid[2])
 		if *restart != "" {
 			fmt.Printf("# resumed from %s at step %d\n", *restart, eng.Step())
-		}
-		if gen := sup.LastRestore(); gen >= 0 {
+		} else if gen := sup.LastRestore(); gen >= 0 {
 			fmt.Printf("# restored from shard generation %d\n", gen)
 		}
 	}
 	// Position-driven chunk loop: progress is reread from the engine
-	// each iteration, so a scratch restart (ErrRestarted, TCP worlds)
-	// replays the same chunk/thermo schedule from step 0 — identically
-	// on every process, which is what keeps their collective schedules
-	// aligned through recoveries. Thermo lines already printed are not
-	// reprinted on replay.
+	// each iteration, so after a recovery on a TCP world (ErrRestarted)
+	// every process replays the same chunk/thermo schedule from the
+	// restored step — identically, which is what keeps their collective
+	// schedules aligned through recoveries. Thermo lines already printed
+	// are not reprinted on replay.
 	var printed int64 = -1
 	reported := 0
 	target := *steps
 	stopped := false
 	for {
 		// Report each recovery's restore point as it happens: a sharded
-		// rebuild resumes from a generation (Run re-advances internally),
-		// a scratch rebuild replays from step 0 via ErrRestarted.
+		// rebuild resumes from a generation, a scratch rebuild from step 0.
 		if n := sup.Attempts(); chatty && tcpMode && n > reported {
 			reported = n
 			if gen := sup.LastRestore(); gen >= 0 {

@@ -187,15 +187,55 @@ func ApplyHistory(s *core.Simulation, hist []HistoryEntry) {
 	}
 }
 
-// RestoreState converts one rank's checkpoint share into the core
-// restore descriptor.
-func (ck *Checkpoint) RestoreState() *core.RestoreState {
-	return &core.RestoreState{
-		Step:     ck.Step,
-		Box:      ck.Box,
-		SetupBox: ck.SetupBox,
-		Q2Setup:  ck.Q2Setup,
+// ShardSet views the checkpoint as one generation covering every rank —
+// the form domain.RestoreOnWorld restores. Ranks points into PerRank
+// (no copy); NGlobal is the sum of the per-rank atom counts.
+func (ck *Checkpoint) ShardSet() *ShardSet {
+	ss := &ShardSet{
+		Step:      ck.Step,
+		WorldSize: ck.Ranks,
+		Grid:      ck.Grid,
+		Box:       ck.Box,
+		SetupBox:  ck.SetupBox,
+		Q2Setup:   ck.Q2Setup,
+		Ranks:     make(map[int]*Rank, len(ck.PerRank)),
 	}
+	for r := range ck.PerRank {
+		ss.Ranks[r] = &ck.PerRank[r]
+		ss.NGlobal += int64(len(ck.PerRank[r].Atoms))
+	}
+	return ss
+}
+
+// RestoreRank rebuilds rank r's simulation from the generation on
+// backend be: the store in checkpointed order, the restore replay of
+// setup, contact history, then the checkpointed forces, energy and
+// virial. Every restore path (serial, in-process, spanning) ends here.
+func (ss *ShardSet) RestoreRank(cfg core.Config, r int, be core.Backend) (*core.Simulation, error) {
+	rk := ss.Ranks[r]
+	if rk == nil {
+		return nil, fmt.Errorf("ckpt: generation has no snapshot for rank %d", r)
+	}
+	st := atom.New(len(rk.Atoms))
+	for _, a := range rk.Atoms {
+		st.Add(a)
+	}
+	s, err := core.NewRestored(cfg, st, be, &core.RestoreState{
+		Step:     ss.Step,
+		Box:      ss.Box,
+		SetupBox: ss.SetupBox,
+		Q2Setup:  ss.Q2Setup,
+		RNG:      rk.RNG,
+		FixState: rk.FixState,
+	})
+	if err != nil {
+		return nil, err
+	}
+	ApplyHistory(s, rk.History)
+	if err := s.PrimeRestored(rk.Force, rk.LastPE, rk.LastVirial); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // RestoreSerial resumes a single-rank checkpoint on the serial backend:
@@ -205,23 +245,7 @@ func RestoreSerial(cfg core.Config, ck *Checkpoint) (*core.Simulation, error) {
 	if ck.Ranks != 1 {
 		return nil, fmt.Errorf("ckpt: checkpoint has %d ranks; serial restore needs 1 (re-decomposition is not supported)", ck.Ranks)
 	}
-	rk := &ck.PerRank[0]
-	st := atom.New(len(rk.Atoms))
-	for _, a := range rk.Atoms {
-		st.Add(a)
-	}
-	rs := ck.RestoreState()
-	rs.RNG = rk.RNG
-	rs.FixState = rk.FixState
-	s, err := core.NewRestored(cfg, st, &core.SerialBackend{}, rs)
-	if err != nil {
-		return nil, err
-	}
-	ApplyHistory(s, rk.History)
-	if err := s.PrimeRestored(rk.Force, rk.LastPE, rk.LastVirial); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return ck.ShardSet().RestoreRank(cfg, 0, &core.SerialBackend{})
 }
 
 // Writer is the periodic checkpoint sink of a run: every rank's

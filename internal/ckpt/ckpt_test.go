@@ -173,3 +173,42 @@ func TestCheckpointSerialRestartRejectsMultiRank(t *testing.T) {
 		t.Fatal("RestoreSerial should reject a 4-rank checkpoint")
 	}
 }
+
+// TestCheckpointShardSetConversion: a mono checkpoint viewed as a
+// generation keeps every header field, keys every rank, points into
+// PerRank without copying, and counts the global atoms.
+func TestCheckpointShardSetConversion(t *testing.T) {
+	ck := &Checkpoint{
+		Step:     40,
+		Ranks:    3,
+		Grid:     [3]int{3, 1, 1},
+		Box:      box.Box{Lo: vec.New(-1, -2, -3), Hi: vec.New(4, 5, 6), Periodic: [3]bool{true, false, true}},
+		SetupBox: box.Box{Lo: vec.New(0, 0, 0), Hi: vec.New(3, 3, 3), Periodic: [3]bool{true, true, true}},
+		Q2Setup:  7.25,
+		PerRank: []Rank{
+			{Atoms: make([]atom.Atom, 2)},
+			{Atoms: make([]atom.Atom, 0)},
+			{Atoms: make([]atom.Atom, 5)},
+		},
+	}
+	ss := ck.ShardSet()
+	if ss.Step != ck.Step || ss.WorldSize != ck.Ranks || ss.Grid != ck.Grid {
+		t.Errorf("header step/size/grid = %d/%d/%v, want %d/%d/%v",
+			ss.Step, ss.WorldSize, ss.Grid, ck.Step, ck.Ranks, ck.Grid)
+	}
+	if ss.Box != ck.Box || ss.SetupBox != ck.SetupBox || ss.Q2Setup != ck.Q2Setup {
+		t.Errorf("setup fields %+v/%+v/%v, want %+v/%+v/%v",
+			ss.Box, ss.SetupBox, ss.Q2Setup, ck.Box, ck.SetupBox, ck.Q2Setup)
+	}
+	if ss.NGlobal != 7 {
+		t.Errorf("NGlobal = %d, want 7", ss.NGlobal)
+	}
+	if len(ss.Ranks) != ck.Ranks {
+		t.Fatalf("%d rank keys, want %d", len(ss.Ranks), ck.Ranks)
+	}
+	for r := range ck.PerRank {
+		if ss.Ranks[r] != &ck.PerRank[r] {
+			t.Errorf("rank %d does not point into PerRank", r)
+		}
+	}
+}

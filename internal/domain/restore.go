@@ -3,7 +3,6 @@ package domain
 import (
 	"fmt"
 
-	"gomd/internal/atom"
 	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/mpi"
@@ -15,100 +14,28 @@ import (
 // rank count, and CheckpointEvery — the checkpoint records per-rank
 // atom ownership and store order, so re-decomposition is not
 // supported). The returned engine continues the original trajectory
-// bit-exactly from ck.Step.
+// bit-exactly from ck.Step. It is RestoreOnWorld over an in-process
+// world of ck.Ranks ranks.
 func Restore(factory Factory, ck *ckpt.Checkpoint) (*Engine, error) {
-	cfg, _, err := factory()
-	if err != nil {
-		return nil, err
+	if ck.Ranks < 1 || len(ck.PerRank) != ck.Ranks {
+		return nil, fmt.Errorf("domain: checkpoint has %d rank records for %d ranks", len(ck.PerRank), ck.Ranks)
 	}
-	nranks := ck.Ranks
-	if g := ck.Grid[0] * ck.Grid[1] * ck.Grid[2]; g != nranks {
-		return nil, fmt.Errorf("domain: checkpoint grid %v does not cover %d ranks", ck.Grid, nranks)
+	if g := ck.Grid[0] * ck.Grid[1] * ck.Grid[2]; g != ck.Ranks {
+		return nil, fmt.Errorf("domain: checkpoint grid %v does not cover %d ranks", ck.Grid, ck.Ranks)
 	}
-
-	nglobal := 0
-	stores := make([]*atom.Store, nranks)
-	for r := 0; r < nranks; r++ {
-		rk := &ck.PerRank[r]
-		stores[r] = atom.New(len(rk.Atoms))
-		for _, a := range rk.Atoms {
-			stores[r].Add(a)
-		}
-		nglobal += len(rk.Atoms)
-	}
-
-	world := mpi.NewWorld(nranks)
-	e := &Engine{World: world, Sims: make([]*core.Simulation, nranks), Grid: ck.Grid, nglobal: nglobal}
-
-	cfgs := make([]core.Config, nranks)
-	cfgs[0] = cfg
-	for r := 1; r < nranks; r++ {
-		c2, _, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		cfgs[r] = c2
-	}
-	for r := range cfgs {
-		cfgs[r].Seed = cfg.Seed + uint64(r)*0x9e3779b9
-	}
-
-	if cfg.Fault != nil {
-		// Same wiring as NewOnWorld: step-addressed faults must not match
-		// this world's construction-time traffic against steps published
-		// by the failed attempt.
-		cfg.Fault.ResetSteps()
-		world.SetFaultHook(cfg.Fault)
-		world.SetWireFaultHook(cfg.Fault)
-	}
-
-	if err := world.Parallel(func(c *mpi.Comm) {
-		r := c.Rank()
-		if tr := cfgs[r].Trace; tr != nil {
-			c.SetSpan(tr.Rank(r))
-		}
-		be := &Backend{
-			comm: c,
-			grid: ck.Grid,
-			// Rank linearization is x-fastest: r = cx + gx*(cy + gy*cz).
-			coord: [3]int{
-				r % ck.Grid[0],
-				(r / ck.Grid[0]) % ck.Grid[1],
-				r / (ck.Grid[0] * ck.Grid[1]),
-			},
-			nglobal: nglobal,
-		}
-		rk := &ck.PerRank[r]
-		rs := ck.RestoreState()
-		rs.RNG = rk.RNG
-		rs.FixState = rk.FixState
-		s, err := core.NewRestored(cfgs[r], stores[r], be, rs)
-		if err != nil {
-			panic(err)
-		}
-		ckpt.ApplyHistory(s, rk.History)
-		if err := s.PrimeRestored(rk.Force, rk.LastPE, rk.LastVirial); err != nil {
-			panic(err)
-		}
-		e.Sims[r] = s
-	}); err != nil {
-		e.Close()
-		return nil, err
-	}
-	return e, nil
+	return RestoreOnWorld(factory, mpi.NewWorld(ck.Ranks), ck.ShardSet())
 }
 
 // RestoreOnWorld rebuilds a decomposed engine over an existing
-// (possibly process-spanning) world from a sharded checkpoint
-// generation: the multi-process counterpart of Restore. ss must hold
-// snapshots for every rank in world.LocalRanks() (ckpt.
-// ReadNewestValidManifest loads exactly that set). Shards are keyed by
-// rank, not by process, so a re-rendezvoused world may place ranks on
-// different processes than the run that wrote the generation and still
-// continue the trajectory bit-exactly. Every process must restore the
-// same generation — the first collective cross-checks the step and
-// panics into the world's abort path (a recoverable *mpi.RankError) on
-// a mismatch. The engine takes ownership of the world.
+// (possibly process-spanning) world from a checkpoint generation. ss
+// must hold snapshots for every rank in world.LocalRanks() (ckpt.
+// ReadNewestValidManifest loads exactly that set; a mono checkpoint's
+// ShardSet holds all of them). Shards are keyed by rank, not by
+// process, so a re-rendezvoused world may place ranks on different
+// processes than the run that wrote the generation and still continue
+// the trajectory bit-exactly. Every process must restore the same
+// generation: the first collective is AgreeGeneration. The engine takes
+// ownership of the world.
 func RestoreOnWorld(factory Factory, world *mpi.World, ss *ckpt.ShardSet) (*Engine, error) {
 	nranks := world.Size
 	if ss.WorldSize != nranks {
@@ -166,14 +93,7 @@ func RestoreOnWorld(factory Factory, world *mpi.World, ss *ckpt.ShardSet) (*Engi
 		if tr := cfgs[r].Trace; tr != nil {
 			c.SetSpan(tr.Rank(r))
 		}
-		// Generation agreement: every process scanned its own disk for
-		// the newest complete generation; the commit protocol orders the
-		// manifest before any restart rendezvous, but a divergent scan
-		// (operator deleted files on one host) must fail loudly, not
-		// integrate mismatched states.
-		if max := int64(c.AllreduceMax(float64(ss.Step))); max != ss.Step {
-			panic(fmt.Errorf("domain: checkpoint generation mismatch: this process restores step %d, a peer restores step %d", ss.Step, max))
-		}
+		AgreeGeneration(c, ss.Step)
 		be := &Backend{
 			comm: c,
 			grid: grid,
@@ -185,25 +105,8 @@ func RestoreOnWorld(factory Factory, world *mpi.World, ss *ckpt.ShardSet) (*Engi
 			},
 			nglobal: int(ss.NGlobal),
 		}
-		rk := ss.Ranks[r]
-		st := atom.New(len(rk.Atoms))
-		for _, a := range rk.Atoms {
-			st.Add(a)
-		}
-		rs := &core.RestoreState{
-			Step:     ss.Step,
-			Box:      ss.Box,
-			SetupBox: ss.SetupBox,
-			Q2Setup:  ss.Q2Setup,
-			RNG:      rk.RNG,
-			FixState: rk.FixState,
-		}
-		s, err := core.NewRestored(cfgs[r], st, be, rs)
+		s, err := ss.RestoreRank(cfgs[r], r, be)
 		if err != nil {
-			panic(err)
-		}
-		ckpt.ApplyHistory(s, rk.History)
-		if err := s.PrimeRestored(rk.Force, rk.LastPE, rk.LastVirial); err != nil {
 			panic(err)
 		}
 		e.Sims[r] = s
@@ -212,6 +115,23 @@ func RestoreOnWorld(factory Factory, world *mpi.World, ss *ckpt.ShardSet) (*Engi
 		return nil, err
 	}
 	return e, nil
+}
+
+// AgreeGeneration is the collective every build of a process-spanning
+// world opens with: each process contributes the checkpoint step it
+// restores (-1 for a step-0 build). Every process scanned its own disk;
+// the commit protocol orders the manifest before any restart
+// rendezvous, but a divergent scan (an operator deleted files on one
+// host) must fail loudly on every process, not integrate mismatched
+// states or stall in mismatched collectives — so the check compares
+// both the max and the min, and panics into the world's abort path (a
+// recoverable *mpi.RankError) on any disagreement.
+func AgreeGeneration(c *mpi.Comm, step int64) {
+	hi := int64(c.AllreduceMax(float64(step)))
+	lo := -int64(c.AllreduceMax(float64(-step)))
+	if hi != step || lo != step {
+		panic(fmt.Errorf("domain: checkpoint generation mismatch: rank %d resumes step %d, the world resumes steps %d..%d (-1 = step-0 build)", c.Rank(), step, lo, hi))
+	}
 }
 
 // Step returns the engine's current step counter (the first local

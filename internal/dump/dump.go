@@ -1,7 +1,7 @@
-// Package dump implements trajectory and restart I/O: XYZ and
+// Package dump implements trajectory and data-file I/O: XYZ and
 // LAMMPS-dump-format trajectory writers (the "dump files" half of the
-// paper's Output task) and a binary restart format that round-trips the
-// full particle state.
+// paper's Output task) and LAMMPS data-file read/write. Restarts are
+// ckpt checkpoints.
 package dump
 
 import (

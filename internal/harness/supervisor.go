@@ -20,21 +20,17 @@ import (
 	"gomd/internal/trace"
 )
 
-// ErrRestarted reports that a recovery rebuilt the engine from scratch
-// on a fresh world (WorldBuilder mode, no checkpoint generation to
-// restore). It is a control signal, not a failure: the supervisor
-// cannot re-advance internally, because every process of a spanning
-// world must replay the same collective schedule — and only the
-// caller's main loop knows it. On ErrRestarted, reread Step() (now 0)
-// and replay the program's own chunk/thermo schedule; every process
-// does the same, so the replays stay synchronized no matter where in
-// its local program each process was interrupted. A recovery that
-// restored a sharded checkpoint generation does NOT return
-// ErrRestarted: the supervisor re-advances to the interrupted call's
-// own target internally, which stays aligned across processes because
-// every process restored the same generation and replays the same
-// remaining steps.
-var ErrRestarted = errors.New("harness: engine restarted from scratch on a fresh world")
+// ErrRestarted reports that a recovery rebuilt the engine on a fresh
+// process-spanning world (WorldBuilder mode), from a checkpoint
+// generation or from scratch. It is a control signal, not a failure:
+// processes of a spanning world can fail at different points in their
+// local programs, so no process may re-advance to its own interrupted
+// target — only the caller's main loop knows the shared collective
+// schedule. On ErrRestarted, reread Step() and replay the program's own
+// chunk/thermo schedule from there; every process does the same from
+// the same restored step, so the replays stay synchronized. In-process
+// worlds fail as one, and Run/Thermo re-advance internally instead.
+var ErrRestarted = errors.New("harness: engine rebuilt on a fresh world; replay from Step()")
 
 // Supervisor runs a decomposed engine under fault tolerance: it wires
 // the periodic checkpoint sink into every rank's config, and when a
@@ -65,10 +61,11 @@ type Supervisor struct {
 	// local ranks (ckpt.ShardWriter's two-phase commit), and a recovery
 	// re-rendezvouses and restores every process from the newest
 	// complete generation — even when the new rendezvous assigns ranks
-	// to different processes, since shards are keyed by rank. Only
-	// RestartPath remains incompatible (it names a monolithic
-	// single-process file; sharded runs resume automatically from
-	// CheckpointPath's shard store).
+	// to different processes, since shards are keyed by rank. Every
+	// recovery on such a world returns ErrRestarted. Only RestartPath
+	// remains incompatible (it names a monolithic single-process file;
+	// sharded runs resume automatically from CheckpointPath's shard
+	// store).
 	WorldBuilder func() (*mpi.World, error)
 
 	// KeepCheckpoints retains that many checkpoint generations (default
@@ -118,9 +115,8 @@ type Supervisor struct {
 	monitor     *health.Monitor
 	flight      *obs.Flight
 	attempts    int
-	// lastRestore is the generation step the most recent sharded build
-	// restored from (-1 = built from scratch); meaningful only in
-	// sharded (WorldBuilder + checkpointing) mode.
+	// lastRestore is the step of the generation the most recent build
+	// restored from (-1 = built from scratch).
 	lastRestore int64
 }
 
@@ -189,39 +185,14 @@ func (s *Supervisor) wrapFactory() domain.Factory {
 // Start builds the engine — fresh, resumed from RestartPath, or (in
 // sharded mode) resumed automatically from the newest complete shard
 // generation under CheckpointPath, which is how a re-launched process
-// rejoins an interrupted multi-process job.
+// rejoins an interrupted multi-process job. A mono Start never resumes
+// from CheckpointPath on its own: only RestartPath names a file to
+// resume.
 func (s *Supervisor) Start() error {
 	if s.WorldBuilder != nil && s.RestartPath != "" {
 		return errors.New("harness: WorldBuilder is incompatible with RestartPath (sharded runs resume from CheckpointPath's shard store)")
 	}
-	s.lastRestore = -1
-	f := s.wrapFactory()
-	var (
-		eng *domain.Engine
-		err error
-	)
-	if s.RestartPath != "" {
-		ck, rerr := ckpt.ReadFile(s.RestartPath)
-		if rerr != nil {
-			return fmt.Errorf("harness: reading restart checkpoint: %w", rerr)
-		}
-		if ck.Ranks != s.Ranks {
-			return fmt.Errorf("harness: checkpoint has %d ranks, supervisor configured for %d", ck.Ranks, s.Ranks)
-		}
-		eng, err = domain.Restore(f, ck)
-	} else if s.WorldBuilder != nil {
-		eng, err = s.buildOnWorld(f)
-	} else {
-		eng, err = domain.New(f, s.Ranks)
-	}
-	if err != nil {
-		return err
-	}
-	if s.writer != nil {
-		s.writer.SetGrid(eng.Grid)
-	}
-	s.eng = eng
-	return nil
+	return s.build(false)
 }
 
 // Engine exposes the current engine (it changes identity across
@@ -245,7 +216,7 @@ func (s *Supervisor) Close() {
 // lifetime, so a fault that re-fires on every attempt eventually
 // surfaces as an error. In WorldBuilder mode a recovery returns
 // ErrRestarted instead of re-advancing — the caller replays its own
-// schedule from Step()==0 (see ErrRestarted).
+// schedule from Step() (see ErrRestarted).
 func (s *Supervisor) Run(n int) error {
 	return s.RunContext(context.Background(), n)
 }
@@ -283,12 +254,12 @@ func (s *Supervisor) RunContext(ctx context.Context, n int) error {
 }
 
 // Thermo computes the global thermodynamic state under the same
-// recovery envelope as Run. On an in-process world the collective
-// cannot fail between Run calls, but on a spanning world a peer
-// process can abort at any wall-clock moment — including mid-Thermo —
-// and that failure recovers here: rebuild, re-advance to the step the
-// run had reached, retry. Collective: every process of a spanning
-// world must call it at the same point.
+// recovery envelope as Run. On a spanning world a peer process can
+// abort at any wall-clock moment — including mid-Thermo — and that
+// failure recovers here like any other: ErrRestarted, and the caller
+// replays. On an in-process world a recovery re-advances to the step
+// the run had reached and retries. Collective: every process of a
+// spanning world must call it at the same point.
 func (s *Supervisor) Thermo() (core.Thermo, error) {
 	if s.eng == nil {
 		return core.Thermo{}, errors.New("harness: supervisor not started")
@@ -353,16 +324,13 @@ func (s *Supervisor) recoverFrom(ctx context.Context, err error) error {
 	}
 
 	s.eng.Close()
-	if rerr := s.rebuild(); rerr != nil {
+	if rerr := s.build(true); rerr != nil {
 		return fmt.Errorf("harness: rebuilding after %v: %w", re, rerr)
 	}
-	if s.WorldBuilder != nil && s.lastRestore < 0 {
-		// Rebuilt from scratch on a fresh world: the caller replays; see
-		// ErrRestarted. Re-advancing here would desynchronize the
-		// processes' collective schedules: each would replay from its own
-		// interruption point instead of the shared one. A sharded restore
-		// returns nil instead — every process resumed the same generation,
-		// so the interrupted calls' own re-advances stay aligned.
+	if s.WorldBuilder != nil {
+		// The caller replays; see ErrRestarted. Re-advancing here would
+		// desynchronize the processes' collective schedules: each would
+		// replay to its own interruption point instead of the shared one.
 		return ErrRestarted
 	}
 	return nil
@@ -385,30 +353,71 @@ func (s *Supervisor) runOnce(n int) error {
 	return s.eng.Run(n)
 }
 
-// buildOnWorld builds an engine on a world from WorldBuilder,
-// validating that the rendezvous produced the size this supervisor was
-// configured for. In sharded mode it restores from the newest complete
-// shard generation when one exists (rejections are logged; a store with
-// no complete generation builds from scratch) — the shard writer is
-// re-bound to the new world first, because a re-rendezvous may assign
-// different ranks to this process.
-func (s *Supervisor) buildOnWorld(f domain.Factory) (*domain.Engine, error) {
-	w, err := s.WorldBuilder()
+// build constructs the engine, at Start (recovery false) or after a
+// rank failure: the one path every supervised engine takes. It resumes
+// RestartPath exactly at Start; otherwise the newest verified shard
+// generation in sharded mode; otherwise, on an in-process recovery,
+// the newest verified mono generation. Every rejected generation is
+// logged — a silent fallback would hide corruption — and with no
+// usable generation the engine is built from scratch at step 0.
+func (s *Supervisor) build(recovery bool) error {
+	f := s.wrapFactory()
+	rec := map[string]any{"attempt": s.attempts}
+	var (
+		ss       *ckpt.ShardSet
+		rejected []ckpt.GenError
+		rerr     error
+	)
+	// In-process recoveries resume mono generations from CheckpointPath,
+	// or from RestartPath's file when no checkpoints are written.
+	path := s.CheckpointPath
+	if path == "" {
+		path = s.RestartPath
+	}
+	switch {
+	case !recovery && s.RestartPath != "":
+		ck, err := ckpt.ReadFile(s.RestartPath)
+		if err != nil {
+			return fmt.Errorf("harness: reading restart checkpoint: %w", err)
+		}
+		if ck.Ranks != s.Ranks {
+			return fmt.Errorf("harness: checkpoint has %d ranks, supervisor configured for %d", ck.Ranks, s.Ranks)
+		}
+		ss = ck.ShardSet()
+		rec["generation"], rec["path"] = 0, s.RestartPath
+	case recovery && s.WorldBuilder == nil && path != "":
+		if s.writer != nil {
+			s.writer.Reset() // drop shares from assemblies the crash interrupted
+		}
+		var (
+			ck  *ckpt.Checkpoint
+			gen int
+		)
+		ck, gen, rejected, rerr = ckpt.ReadNewestValid(path, s.KeepCheckpoints)
+		if rerr == nil {
+			ss = ck.ShardSet()
+			rec["generation"], rec["path"] = gen, ckpt.GenerationPath(path, gen)
+		}
+	}
+
+	w, err := s.newWorld()
 	if err != nil {
-		return nil, fmt.Errorf("harness: building world: %w", err)
+		return err
 	}
-	if w.Size != s.Ranks {
-		w.Close()
-		return nil, fmt.Errorf("harness: WorldBuilder produced a %d-rank world, supervisor configured for %d", w.Size, s.Ranks)
+	spanning := s.WorldBuilder != nil
+	if spanning {
+		rec["transport"] = w.Transport().Name()
+		rec["world_id"] = fmt.Sprintf("%016x", w.ID())
 	}
-	s.lastRestore = -1
-	if s.shardWriter == nil {
-		return domain.NewOnWorld(f, w)
+	if s.shardWriter != nil {
+		// Re-bound on every build: a re-rendezvous may assign different
+		// ranks to this process.
+		s.shardWriter.Bind(w)
+		ss, rejected, rerr = ckpt.ReadNewestValidManifest(ckpt.ShardDir(s.CheckpointPath), w.LocalRanks(), w.Size)
+		if rerr == nil {
+			rec["generation"] = ss.Step
+		}
 	}
-	s.shardWriter.Bind(w)
-	worldID := fmt.Sprintf("%016x", w.ID())
-	transport := w.Transport().Name()
-	ss, rejected, rerr := ckpt.ReadNewestValidManifest(ckpt.ShardDir(s.CheckpointPath), w.LocalRanks(), w.Size)
 	for _, ge := range rejected {
 		if s.Metrics != nil {
 			s.Metrics.Counter("recover.ckpt_rejected").Inc()
@@ -420,120 +429,62 @@ func (s *Supervisor) buildOnWorld(f domain.Factory) (*domain.Engine, error) {
 			"error":      ge.Err.Error(),
 		})
 	}
-	if rerr == nil {
-		eng, err := domain.RestoreOnWorld(f, w, ss)
-		if err != nil {
-			return nil, err
-		}
-		s.lastRestore = ss.Step
-		s.shardWriter.SetGrid(eng.Grid)
-		s.Trace.Log("checkpoint-restore", map[string]any{
-			"generation": ss.Step,
-			"step":       ss.Step,
-			"transport":  transport,
-			"world_id":   worldID,
-			"attempt":    s.attempts,
-			"verified":   true,
-		})
-		return eng, nil
-	}
-	if !errors.Is(rerr, os.ErrNotExist) && len(rejected) == 0 {
+	if rerr != nil && !errors.Is(rerr, os.ErrNotExist) && len(rejected) == 0 {
 		w.Close()
-		return nil, rerr
+		return rerr
 	}
-	// No complete generation yet (or every one rejected): scratch is
-	// the only remaining build.
-	eng, err := domain.NewOnWorld(f, w)
-	if err != nil {
-		return nil, err
-	}
-	s.shardWriter.SetGrid(eng.Grid)
-	s.Trace.Log("checkpoint-restore", map[string]any{
-		"generation": -1,
-		"scratch":    true,
-		"transport":  transport,
-		"world_id":   worldID,
-		"attempt":    s.attempts,
-	})
-	return eng, nil
-}
 
-// rebuild constructs a replacement engine from the newest checkpoint
-// generation that verifies, or from scratch when none exists. Every
-// rejected generation is logged — a silent fallback would hide
-// corruption.
-func (s *Supervisor) rebuild() error {
-	f := s.wrapFactory()
-	if s.WorldBuilder != nil {
-		// Recovery re-runs the rendezvous; in sharded mode buildOnWorld
-		// then restores from the newest complete generation (and logs the
-		// choice), otherwise the run restarts from step 0.
-		eng, err := s.buildOnWorld(f)
-		if err != nil {
-			return err
-		}
-		if s.shardWriter == nil {
-			s.Trace.Log("checkpoint-restore", map[string]any{
-				"generation": -1,
-				"scratch":    true,
-			})
-		}
-		s.eng = eng
-		return nil
-	}
-	if s.writer != nil {
-		s.writer.Reset() // drop shares from assemblies the crash interrupted
-	}
-	path := s.CheckpointPath
-	if path == "" {
-		path = s.RestartPath
-	}
-	if path != "" {
-		ck, gen, rejected, err := ckpt.ReadNewestValid(path, s.KeepCheckpoints)
-		for _, ge := range rejected {
-			if s.Metrics != nil {
-				s.Metrics.Counter("recover.ckpt_rejected").Inc()
+	var eng *domain.Engine
+	if ss != nil {
+		rec["step"], rec["verified"] = ss.Step, true
+		eng, err = domain.RestoreOnWorld(f, w, ss)
+	} else {
+		// No generation yet (or every one rejected): step 0 is the only
+		// remaining build. A spanning world still joins the generation-
+		// agreement collective, so a peer that restores fails loudly
+		// instead of stalling in mismatched collectives.
+		rec["generation"], rec["scratch"] = -1, true
+		if spanning {
+			if err := w.Parallel(func(c *mpi.Comm) { domain.AgreeGeneration(c, -1) }); err != nil {
+				w.Close()
+				return err
 			}
-			s.Trace.Log("checkpoint-verify", map[string]any{
-				"generation": ge.Gen,
-				"path":       ge.Path,
-				"ok":         false,
-				"error":      ge.Err.Error(),
-			})
 		}
-		if err == nil {
-			s.Trace.Log("checkpoint-restore", map[string]any{
-				"generation": gen,
-				"path":       ckpt.GenerationPath(path, gen),
-				"step":       ck.Step,
-				"verified":   true,
-			})
-			eng, rerr := domain.Restore(f, ck)
-			if rerr != nil {
-				return rerr
-			}
-			s.eng = eng
-			return nil
-		}
-		if !errors.Is(err, os.ErrNotExist) && len(rejected) == 0 {
-			return err
-		}
-		// All generations missing (none written yet) or all rejected:
-		// restarting from step 0 is the only remaining recovery.
+		eng, err = domain.NewOnWorld(f, w)
 	}
-	s.Trace.Log("checkpoint-restore", map[string]any{
-		"generation": -1,
-		"scratch":    true,
-	})
-	eng, err := domain.New(f, s.Ranks)
 	if err != nil {
 		return err
+	}
+	s.Trace.Log("checkpoint-restore", rec)
+	s.lastRestore = -1
+	if ss != nil {
+		s.lastRestore = ss.Step
 	}
 	if s.writer != nil {
 		s.writer.SetGrid(eng.Grid)
 	}
+	if s.shardWriter != nil {
+		s.shardWriter.SetGrid(eng.Grid)
+	}
 	s.eng = eng
 	return nil
+}
+
+// newWorld returns the world for one build: WorldBuilder's, checked
+// against the configured size, or an in-process world of Ranks ranks.
+func (s *Supervisor) newWorld() (*mpi.World, error) {
+	if s.WorldBuilder == nil {
+		return mpi.NewWorld(s.Ranks), nil
+	}
+	w, err := s.WorldBuilder()
+	if err != nil {
+		return nil, fmt.Errorf("harness: building world: %w", err)
+	}
+	if w.Size != s.Ranks {
+		w.Close()
+		return nil, fmt.Errorf("harness: WorldBuilder produced a %d-rank world, supervisor configured for %d", w.Size, s.Ranks)
+	}
+	return w, nil
 }
 
 // recordRecovery publishes one recovery event to the metrics registry,
@@ -587,9 +538,8 @@ func (s *Supervisor) recordRecovery(re *mpi.RankError) {
 // Attempts returns how many recoveries have been performed.
 func (s *Supervisor) Attempts() int { return s.attempts }
 
-// LastRestore returns the generation step the most recent sharded
-// build restored from, or -1 when it built from scratch. Meaningful
-// only in sharded (WorldBuilder + checkpointing) mode.
+// LastRestore returns the step of the generation the most recent build
+// restored from, or -1 when it built from scratch.
 func (s *Supervisor) LastRestore() int64 { return s.lastRestore }
 
 // Flight exposes the run's flight recorder (nil unless FlightPath is

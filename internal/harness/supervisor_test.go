@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gomd/internal/atom"
+	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/domain"
 	"gomd/internal/fault"
@@ -128,6 +129,22 @@ func TestCheckpointRestartBitExactLJ(t *testing.T) {
 // state, cluster migration, and the shared RNG stream).
 func TestCheckpointRestartBitExactRhodo(t *testing.T) {
 	checkpointRestartCase(t, workload.Rhodo, 1500)
+}
+
+// TestCheckpointRestoreRejectsUncoveredGrid: domain.Restore over a
+// checkpoint whose grid or rank records do not cover its rank count
+// must return an error, not panic building the world.
+func TestCheckpointRestoreRejectsUncoveredGrid(t *testing.T) {
+	for name, ck := range map[string]*ckpt.Checkpoint{
+		"grid":    {Ranks: 2, Grid: [3]int{1, 1, 1}, PerRank: make([]ckpt.Rank, 2)},
+		"records": {Ranks: 2, Grid: [3]int{2, 1, 1}, PerRank: make([]ckpt.Rank, 1)},
+		"empty":   {Ranks: 0, Grid: [3]int{0, 0, 0}},
+	} {
+		if eng, err := domain.Restore(wlFactory(workload.LJ, 2048, 1, nil), ck); err == nil {
+			eng.Close()
+			t.Errorf("%s: Restore accepted a checkpoint that does not cover its %d ranks", name, ck.Ranks)
+		}
+	}
 }
 
 // TestSupervisorKillRankRecovery is the acceptance scenario: a 4-rank

@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gomd/internal/atom"
 	"gomd/internal/core"
@@ -76,14 +78,13 @@ func (tc ckptCase) placement(build int) [2][]int {
 	return tc.placements[build]
 }
 
-// runCkptCase drives one checkpointed drill: two supervised processes
-// over loopback TCP, both checkpointing into one shared shard store.
-// Returns the supervisors (still open; caller asserts and closes), the
-// merged final bits, and each supervisor's JSONL trace.
-func runCkptCase(t *testing.T, tc ckptCase) ([]*Supervisor, map[int64][2]vec.V3, []*bytes.Buffer) {
+// ckptPair builds the two supervised processes of a checkpointed
+// drill over loopback TCP — a coordinator and a joiner checkpointing
+// into paths[0] and paths[1] (one shared store in every drill but the
+// divergent-scan one) — and their JSONL traces.
+func ckptPair(t *testing.T, tc ckptCase, paths [2]string) ([]*Supervisor, []*bytes.Buffer) {
 	t.Helper()
 	const ranks = 4
-	path := filepath.Join(t.TempDir(), "run.ckpt")
 	addrCh := make(chan string, 2*(tc.retries+1))
 	logs := []*bytes.Buffer{{}, {}}
 	mkSup := func(i int, coordinator bool) *Supervisor {
@@ -95,7 +96,7 @@ func runCkptCase(t *testing.T, tc ckptCase) ([]*Supervisor, map[int64][2]vec.V3,
 			Factory:         wlFactory(tc.name, tc.atoms, 1, inj),
 			Ranks:           ranks,
 			CheckpointEvery: tc.every,
-			CheckpointPath:  path,
+			CheckpointPath:  paths[i],
 			KeepCheckpoints: tc.keep,
 			Fault:           inj,
 			Retries:         tc.retries,
@@ -123,11 +124,22 @@ func runCkptCase(t *testing.T, tc ckptCase) ([]*Supervisor, map[int64][2]vec.V3,
 		}
 		return s
 	}
-	// The drive loop is position-based: a scratch restart (ErrRestarted)
-	// replays from Step()==0; a generation restore returns nil from Run's
-	// internal recovery and re-advances to the same target on every
-	// process, so no special handling is needed here.
-	drive := func(s *Supervisor) error {
+	return []*Supervisor{mkSup(0, true), mkSup(1, false)}, logs
+}
+
+// runCkptCase drives one checkpointed drill: two supervised processes
+// over loopback TCP, both checkpointing into one shared shard store.
+// Returns the supervisors (still open; caller asserts and closes), the
+// merged final bits, each supervisor's JSONL trace, and per process the
+// Step() it resumed from at each ErrRestarted.
+func runCkptCase(t *testing.T, tc ckptCase) ([]*Supervisor, map[int64][2]vec.V3, []*bytes.Buffer, [][]int64) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	sups, logs := ckptPair(t, tc, [2]string{path, path})
+	// The drive loop is position-based: every recovery returns
+	// ErrRestarted, and each process replays from the restored Step().
+	restarts := make([][]int64, len(sups))
+	drive := func(i int, s *Supervisor) error {
 		if err := s.Start(); err != nil {
 			return err
 		}
@@ -138,31 +150,37 @@ func runCkptCase(t *testing.T, tc ckptCase) ([]*Supervisor, map[int64][2]vec.V3,
 			}
 			if err := s.Run(n); err != nil {
 				if errors.Is(err, ErrRestarted) {
+					restarts[i] = append(restarts[i], s.Step())
 					continue
 				}
 				return err
 			}
 		}
 	}
-	sups := []*Supervisor{mkSup(0, true), mkSup(1, false)}
-	errs := make([]error, len(sups))
-	var wg sync.WaitGroup
-	for i, s := range sups {
-		wg.Add(1)
-		go func(i int, s *Supervisor) {
-			defer wg.Done()
-			errs[i] = drive(s)
-		}(i, s)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	for i, err := range concurrently(sups, drive) {
 		if err != nil {
 			t.Fatalf("process %d under %q: %v", i, tc.spec, err)
 		}
 	}
 	got := mergeSnapshots(t,
 		localBitSnapshot(sups[0].Engine()), localBitSnapshot(sups[1].Engine()))
-	return sups, got, logs
+	return sups, got, logs, restarts
+}
+
+// concurrently runs fn on every supervisor at once — one goroutine per
+// process of the drill — and returns their errors.
+func concurrently(sups []*Supervisor, fn func(i int, s *Supervisor) error) []error {
+	errs := make([]error, len(sups))
+	var wg sync.WaitGroup
+	for i, s := range sups {
+		wg.Add(1)
+		go func(i int, s *Supervisor) {
+			defer wg.Done()
+			errs[i] = fn(i, s)
+		}(i, s)
+	}
+	wg.Wait()
+	return errs
 }
 
 // requireRestoredFrom asserts every supervisor's latest build restored
@@ -180,12 +198,14 @@ func requireRestoredFrom(t *testing.T, sups []*Supervisor, step int64) {
 // rank dies at step 50 of a 60-step two-process run checkpointed every
 // 20 steps. Both processes must re-rendezvous, restore from generation
 // 40 (the newest complete one — not step 0), and finish bit-identical
-// to the unfailed channel run. The recovery JSONL must tie the
-// incident together: transport kind, world id, and chosen generation.
+// to the unfailed channel run. Each process's Run must return
+// ErrRestarted with Step()==40, so the caller replays the shared
+// schedule from there. The recovery JSONL must tie the incident
+// together: transport kind, world id, and chosen generation.
 func TestTCPCheckpointKillRecovery(t *testing.T) {
 	const atoms, total, every = 2048, 60, 20
 	want := channelCkptReference(t, workload.LJ, atoms, 4, total, every)
-	sups, got, logs := runCkptCase(t, ckptCase{
+	sups, got, logs, restarts := runCkptCase(t, ckptCase{
 		name: workload.LJ, atoms: atoms, total: total, every: every, keep: 2,
 		spec: "kill:rank=2,step=50", retries: 1,
 	})
@@ -198,6 +218,11 @@ func TestTCPCheckpointKillRecovery(t *testing.T) {
 		t.Error("injected kill never fired")
 	}
 	requireRestoredFrom(t, sups, 40)
+	for i, r := range restarts {
+		if len(r) != 1 || r[0] != 40 {
+			t.Errorf("process %d: Run returned ErrRestarted at steps %v, want once at step 40", i, r)
+		}
+	}
 	requireBitIdentical(t, want, got)
 
 	// The joiner hosted the killed rank: its log must carry the recovery
@@ -235,6 +260,52 @@ func TestTCPCheckpointKillRecovery(t *testing.T) {
 	}
 }
 
+// TestTCPCheckpointDivergentScan: the coordinator's shard store holds a
+// committed generation while the joiner's is empty — a divergent scan.
+// The joiner's step-0 build joins the generation-agreement collective
+// that the coordinator's restore opens with, so both Start calls must
+// fail with the mismatch error instead of stalling in mismatched
+// collectives.
+func TestTCPCheckpointDivergentScan(t *testing.T) {
+	const every = 10
+	dir := t.TempDir()
+	full, empty := filepath.Join(dir, "full.ckpt"), filepath.Join(dir, "empty.ckpt")
+	tc := ckptCase{name: workload.LJ, atoms: 2048, every: every, keep: 1}
+
+	seed, _ := ckptPair(t, tc, [2]string{full, full})
+	for i, err := range concurrently(seed, func(_ int, s *Supervisor) error {
+		if err := s.Start(); err != nil {
+			return err
+		}
+		defer s.Close()
+		return s.Run(every)
+	}) {
+		if err != nil {
+			t.Fatalf("seeding generation %d, process %d: %v", every, i, err)
+		}
+	}
+
+	sups, _ := ckptPair(t, tc, [2]string{full, empty})
+	done := make(chan []error, 1)
+	go func() {
+		done <- concurrently(sups, func(_ int, s *Supervisor) error {
+			err := s.Start()
+			s.Close()
+			return err
+		})
+	}()
+	select {
+	case errs := <-done:
+		for i, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "generation mismatch") {
+				t.Errorf("process %d Start = %v, want a generation-mismatch error", i, err)
+			}
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("divergent scan stalled: Start did not fail within 60s")
+	}
+}
+
 // TestTCPCheckpointMidCommitFallback kills a joiner rank inside the
 // commit window of the step-40 checkpoint: its shard is durable but no
 // vote reaches rank 0, so generation 40 stays torn (no manifest).
@@ -243,7 +314,7 @@ func TestTCPCheckpointKillRecovery(t *testing.T) {
 func TestTCPCheckpointMidCommitFallback(t *testing.T) {
 	const atoms, total, every = 2048, 60, 20
 	want := channelCkptReference(t, workload.LJ, atoms, 4, total, every)
-	sups, got, _ := runCkptCase(t, ckptCase{
+	sups, got, _, _ := runCkptCase(t, ckptCase{
 		name: workload.LJ, atoms: atoms, total: total, every: every, keep: 2,
 		spec: "kill-commit:rank=2,step=40", retries: 1,
 	})
@@ -267,7 +338,7 @@ func TestTCPCheckpointMidCommitFallback(t *testing.T) {
 func TestTCPCheckpointPlacementSwap(t *testing.T) {
 	const atoms, total, every = 2048, 60, 20
 	want := channelCkptReference(t, workload.LJ, atoms, 4, total, every)
-	sups, got, _ := runCkptCase(t, ckptCase{
+	sups, got, _, _ := runCkptCase(t, ckptCase{
 		name: workload.LJ, atoms: atoms, total: total, every: every, keep: 2,
 		spec: "kill:rank=2,step=50", retries: 1,
 		placements: [][2][]int{
@@ -316,7 +387,7 @@ func TestSoakTCPCheckpointed(t *testing.T) {
 			if refs[name] == nil {
 				refs[name] = channelCkptReference(t, name, atoms, 4, total, every)
 			}
-			sups, got, _ := runCkptCase(t, ckptCase{
+			sups, got, _, _ := runCkptCase(t, ckptCase{
 				name: name, atoms: atoms, total: total, every: every, keep: 2,
 				spec: spec, retries: 5,
 			})

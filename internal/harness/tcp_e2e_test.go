@@ -166,9 +166,9 @@ func tcpSupervisedCase(t *testing.T, name workload.Name, atoms, total int, spec 
 		}
 		return s
 	}
-	// Every process drives the same position-based loop: a scratch
-	// restart (ErrRestarted) rereads Step()==0 and replays, keeping the
-	// processes' collective schedules aligned (see harness.ErrRestarted).
+	// Every process drives the same position-based loop: a recovery
+	// (ErrRestarted) rereads Step() and replays, keeping the processes'
+	// collective schedules aligned (see harness.ErrRestarted).
 	drive := func(s *Supervisor) error {
 		if err := s.Start(); err != nil {
 			return err

@@ -21,6 +21,7 @@ import (
 	"gomd/internal/atom"
 	"gomd/internal/bond"
 	"gomd/internal/box"
+	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/dump"
 	"gomd/internal/fix"
@@ -875,7 +876,9 @@ func (in *Interp) cmdDump(a []string) error {
 	return nil
 }
 
-// cmdWriteRestart saves a binary restart: write_restart <file>.
+// cmdWriteRestart saves a restart: write_restart <file>. The file is a
+// 1-rank GMCK checkpoint written through the checkpoint writer (atomic,
+// fsync'd, CRC-checked) that ckpt.ReadFile and mdrun -restart read.
 func (in *Interp) cmdWriteRestart(a []string) error {
 	if len(a) != 1 {
 		return fmt.Errorf("write_restart <file>")
@@ -885,12 +888,9 @@ func (in *Interp) cmdWriteRestart(a []string) error {
 			return err
 		}
 	}
-	f, err := os.Create(a[0])
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return dump.Capture(in.sim.Store, in.sim.Box, in.sim.Step).WriteBinary(f)
+	w := ckpt.NewWriter(a[0], 1)
+	w.SetGrid([3]int{1, 1, 1})
+	return w.Sink()(in.sim)
 }
 
 // writeDumpFrames appends trajectory frames during a run.

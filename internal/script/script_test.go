@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"gomd/internal/ckpt"
 	"gomd/internal/core"
 	"gomd/internal/dump"
 	"gomd/internal/script"
@@ -329,17 +330,12 @@ write_restart ` + rest + `
 	if lines != 2*(256+2) {
 		t.Errorf("trajectory lines %d want %d", lines, 2*(256+2))
 	}
-	rf, err := os.Open(rest)
+	ck, err := ckpt.ReadFile(rest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rf.Close()
-	r, err := dump.ReadBinary(rf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Step != 10 || len(r.Atoms) != 256 {
-		t.Errorf("restart step=%d atoms=%d", r.Step, len(r.Atoms))
+	if ck.Step != 10 || ck.Ranks != 1 || len(ck.PerRank[0].Atoms) != 256 {
+		t.Errorf("restart step=%d ranks=%d atoms=%d", ck.Step, ck.Ranks, len(ck.PerRank[0].Atoms))
 	}
 }
 
